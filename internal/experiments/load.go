@@ -22,7 +22,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -33,6 +32,7 @@ import (
 	"github.com/gem-embeddings/gem/internal/pool"
 	"github.com/gem-embeddings/gem/internal/serve"
 	"github.com/gem-embeddings/gem/internal/shard"
+	"github.com/gem-embeddings/gem/internal/stats"
 	"github.com/gem-embeddings/gem/internal/table"
 )
 
@@ -312,9 +312,6 @@ func LoadEval(opts LoadOptions) (*LoadResult, error) {
 		}
 	}
 
-	sort.Float64s(searchLat)
-	sort.Float64s(mutateLat)
-	sort.Float64s(probeLat)
 	result.QPS = float64(result.Searches+result.Adds+result.Removes) / elapsed
 	result.SearchP50Ms = percentileMs(searchLat, 0.50)
 	result.SearchP95Ms = percentileMs(searchLat, 0.95)
@@ -379,20 +376,15 @@ func loadStreams(opts LoadOptions, ds *table.Dataset) ([][]loadOp, [3]int) {
 	return streams, counts
 }
 
-// percentileMs linearly interpolates the p-th percentile of a sorted
-// sample (p in [0,1]); empty samples report 0.
-func percentileMs(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
+// percentileMs is stats.Percentile for p in [0,1]; empty samples report 0.
+func percentileMs(sample []float64, p float64) float64 {
+	if len(sample) == 0 {
 		return 0
 	}
-	pos := p * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	// Percentile fails only on an empty sample or p outside [0,100];
+	// callers pass p in [0,1].
+	v, _ := stats.Percentile(sample, p*100)
+	return v
 }
 
 // checkSLO lists the configured latency ceilings the run breached.

@@ -34,12 +34,13 @@ func (j *job) finish(vec []float64, err error) {
 	close(j.done)
 }
 
-// batcher coalesces concurrently arriving jobs into batches: the dispatcher
-// takes the first pending job, then keeps collecting until either maxBatch
-// jobs are in hand or window has elapsed since the batch opened. Under a
-// single client batches degenerate to size 1 (no added latency beyond the
-// window); under concurrent clients the queue drains in large strides, each
-// stride paying for one pooled signature pass.
+// batcher coalesces concurrently arriving jobs group-commit style: each
+// dispatcher pass takes whatever is queued at that moment, up to maxBatch,
+// and hands it to process as one batch; jobs that arrive while a pass runs
+// queue up and form the next batch. There is no timer: an idle server
+// embeds a lone miss at once, and under concurrent clients batches widen by
+// themselves, because more work queues behind each pass — each stride
+// paying for one pooled signature pass.
 type batcher struct {
 	jobs     chan *job
 	quit     chan struct{}
@@ -51,16 +52,14 @@ type batcher struct {
 	// drain and leave its submitter waiting forever.
 	mu       sync.RWMutex
 	closed   bool
-	window   time.Duration
 	maxBatch int
 }
 
-func newBatcher(queueDepth, maxBatch int, window time.Duration) *batcher {
+func newBatcher(queueDepth, maxBatch int) *batcher {
 	return &batcher{
 		jobs:     make(chan *job, queueDepth),
 		quit:     make(chan struct{}),
 		finished: make(chan struct{}),
-		window:   window,
 		maxBatch: maxBatch,
 	}
 }
@@ -83,48 +82,38 @@ func (b *batcher) submit(ctx context.Context, j *job) error {
 	}
 }
 
-// run is the dispatcher loop; process receives every batch. Runs until
-// close, then fails whatever is still queued so no submitter hangs.
+// run is the dispatcher loop; process receives every batch and must not
+// keep the slice, which the next pass reuses. Runs until close, then fails
+// whatever is still queued so no submitter hangs.
 func (b *batcher) run(process func([]*job)) {
 	defer close(b.finished)
+	var batch []*job
 	for {
+		// Shutdown wins over queued work: once close has begun, no new
+		// pass starts and the queue fails with ErrClosed.
 		select {
-		case j := <-b.jobs:
-			process(b.collect(j))
 		case <-b.quit:
 			b.drain()
 			return
+		default:
+		}
+		select {
+		case j := <-b.jobs:
+			batch = b.collect(append(batch[:0], j))
+			process(batch)
+		case <-b.quit:
 		}
 	}
 }
 
-// collect gathers up to maxBatch jobs, waiting at most window after the
-// first. A non-positive window skips the timer and takes only what is
-// already queued.
-func (b *batcher) collect(first *job) []*job {
-	batch := []*job{first}
-	if b.window <= 0 {
-		for len(batch) < b.maxBatch {
-			select {
-			case j := <-b.jobs:
-				batch = append(batch, j)
-			default:
-				return batch
-			}
-		}
-		return batch
-	}
-	timer := time.NewTimer(b.window)
-	defer timer.Stop()
+// collect tops batch up with the jobs already queued, up to maxBatch,
+// without waiting for more.
+func (b *batcher) collect(batch []*job) []*job {
 	for len(batch) < b.maxBatch {
 		select {
 		case j := <-b.jobs:
 			batch = append(batch, j)
-		case <-timer.C:
-			return batch
-		case <-b.quit:
-			// Shutting down: process what is in hand, run's drain handles
-			// the rest.
+		default:
 			return batch
 		}
 	}

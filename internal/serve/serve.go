@@ -8,10 +8,12 @@
 //   - A content-hash cache: each column embedding is keyed by SHA-256 of
 //     (embedder fingerprint, header, value bits), so a repeated column is
 //     answered without touching the GMM at all.
-//   - Micro-batching: cache misses from concurrently arriving requests are
-//     coalesced into one pooled Signatures pass over the shared
-//     internal/pool worker pool — tables stream in incrementally and are
-//     embedded in batch-sized strides, not via whole-catalog calls.
+//   - Micro-batching: cache misses are embedded group-commit style — each
+//     dispatcher pass takes whatever is queued at that moment through one
+//     pooled Signatures pass over the shared internal/pool worker pool, and
+//     misses arriving meanwhile form the next batch. No timer: a lone miss
+//     is embedded at once, and batches widen only as load queues work
+//     behind each pass.
 //   - An optional warm-index hook: every fresh embedding is appended to an
 //     internal/ann index, so similarity search stays current as columns
 //     stream through.
@@ -87,16 +89,9 @@ type Config struct {
 	// MaxBatch caps how many cache-missed columns one coalesced signature
 	// pass embeds. Default 64.
 	MaxBatch int
-	// BatchWindow is how long the dispatcher waits after a batch opens for
-	// more columns to coalesce. Default 200µs; negative disables waiting
-	// (each pass takes only what is already queued).
-	BatchWindow time.Duration
 	// CacheSize bounds the column-embedding LRU cache. Default 4096;
 	// negative disables caching.
 	CacheSize int
-	// QueueDepth bounds the miss queue; submitters block (backpressure)
-	// when it is full. Default 1024.
-	QueueDepth int
 	// Index, when set, receives every fresh embedding (metric-normalized
 	// like core.EmbedVectors) so the search layer stays warm. The server
 	// owns all access to it from New on.
@@ -128,9 +123,6 @@ type Config struct {
 	// accumulated since the last compaction. 0 means compaction only via
 	// CompactCatalog.
 	CompactEvery int
-	// LatencyWindow is how many recent request latencies the percentile
-	// report keeps. Default 2048.
-	LatencyWindow int
 	// Metrics, when set, receives the server's operational series (request
 	// counters, stage timings, cache and catalog gauges) and is exposed at
 	// GET /metrics. Nil disables metrics; the hot path then records
@@ -144,21 +136,21 @@ type Config struct {
 	SlowLog *log.Logger
 }
 
+const (
+	// queueDepth bounds the miss queue; submitters block (backpressure)
+	// when it is full.
+	queueDepth = 1024
+	// latencyWindow is how many recent request latencies the percentile
+	// report keeps.
+	latencyWindow = 2048
+)
+
 func (c *Config) fillDefaults() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 200 * time.Microsecond
-	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 4096
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
-	}
-	if c.LatencyWindow <= 0 {
-		c.LatencyWindow = 2048
 	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 8 << 20
@@ -232,10 +224,10 @@ func New(e *core.Embedder, cfg Config) (*Server, error) {
 		nameInKey: e.Config().Features.Has(core.Contextual),
 		cfg:       cfg,
 		cache:     newCache(cfg.CacheSize),
-		b:         newBatcher(cfg.QueueDepth, cfg.MaxBatch, cfg.BatchWindow),
+		b:         newBatcher(queueDepth, cfg.MaxBatch),
 		//lint:gemallow detnondet start stamp feeds only uptime telemetry
 		start: time.Now(),
-		lat:   newLatencyRing(cfg.LatencyWindow),
+		lat:   newLatencyRing(latencyWindow),
 	}
 	s.met = newServeMetrics(cfg.Metrics)
 	s.trace = cfg.Metrics != nil || cfg.SlowThreshold > 0
@@ -363,14 +355,6 @@ func (s *Server) Dim() int { return s.dim }
 // ErrClosed.
 func (s *Server) Close() { s.b.close() }
 
-// Embed returns one embedding row per column, in request order. Rows are
-// shared with the cache and must be treated as immutable. Cache-missed
-// values are snapshotted at submission, so the caller may reuse its
-// buffers as soon as the call returns — including after a context
-// cancellation that abandons in-flight jobs. The whole request fails on
-// the first malformed column (reported by name); columns are validated up
-// front so a bad one is rejected before it can enter — and poison — a
-// coalesced batch shared with other requests.
 // key content-addresses one column for this server.
 func (s *Server) key(col table.Column) cacheKey {
 	name := ""
@@ -380,6 +364,14 @@ func (s *Server) key(col table.Column) cacheKey {
 	return keyFor(s.fp, name, col)
 }
 
+// Embed returns one embedding row per column, in request order. Rows are
+// shared with the cache and must be treated as immutable. Cache-missed
+// values are snapshotted at submission, so the caller may reuse its
+// buffers as soon as the call returns — including after a context
+// cancellation that abandons in-flight jobs. The whole request fails on
+// the first malformed column (reported by name); columns are validated up
+// front so a bad one is rejected before it can enter — and poison — a
+// coalesced batch shared with other requests.
 func (s *Server) Embed(ctx context.Context, cols []table.Column) ([][]float64, error) {
 	//lint:gemallow detnondet request timing feeds the latency ring, never the answer
 	start := time.Now()
@@ -1026,6 +1018,8 @@ func (r *latencyRing) record(seconds float64) {
 	}
 }
 
+// percentiles reports p50/p90/p99 of the window by stats.Percentile
+// (linear interpolation, h = p·(n−1)); an empty window reports zeros.
 func (r *latencyRing) percentiles() (p50, p90, p99 float64) {
 	r.mu.Lock()
 	snap := make([]float64, r.count)
@@ -1034,19 +1028,11 @@ func (r *latencyRing) percentiles() (p50, p90, p99 float64) {
 	if len(snap) == 0 {
 		return 0, 0, 0
 	}
-	sort.Float64s(snap)
-	// Linear interpolation between the bracketing order statistics (the
-	// h = p·(n−1) convention). Truncating h to an index instead rounds
-	// every percentile down — on small samples p99 collapsed onto a much
-	// lower order statistic (with 10 samples it reported the 9th-largest
-	// value as p99).
 	at := func(p float64) float64 {
-		h := p * float64(len(snap)-1)
-		lo := int(h)
-		if lo >= len(snap)-1 {
-			return snap[len(snap)-1]
-		}
-		return snap[lo] + (h-float64(lo))*(snap[lo+1]-snap[lo])
+		// Percentile fails only on an empty sample or p outside [0,100];
+		// neither can happen here.
+		v, _ := stats.Percentile(snap, p)
+		return v
 	}
-	return at(0.50), at(0.90), at(0.99)
+	return at(50), at(90), at(99)
 }

@@ -8,7 +8,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/gem-embeddings/gem/internal/ann"
 	"github.com/gem-embeddings/gem/internal/core"
@@ -101,8 +100,8 @@ func TestServeDeterministicAcrossPaths(t *testing.T) {
 		cfg     Config
 	}{
 		{"serial batch-of-1", 1, Config{MaxBatch: 1}},
-		{"parallel small batches", 4, Config{MaxBatch: 3, BatchWindow: time.Millisecond}},
-		{"parallel wide batches no cache", 8, Config{MaxBatch: 64, BatchWindow: 2 * time.Millisecond, CacheSize: -1}},
+		{"parallel small batches", 4, Config{MaxBatch: 3}},
+		{"parallel wide batches no cache", 8, Config{MaxBatch: 64, CacheSize: -1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newTestServer(t, tc.workers, tc.cfg)
@@ -193,36 +192,11 @@ func TestServeCacheHitsAndEviction(t *testing.T) {
 	}
 }
 
-func TestServeCoalescing(t *testing.T) {
-	// A generous window plus concurrent one-column requests must produce at
-	// least one multi-column batch.
-	s := newTestServer(t, 4, Config{MaxBatch: 16, BatchWindow: 20 * time.Millisecond})
-	ds := testCatalog()
-	var wg sync.WaitGroup
-	for i := 0; i < 12; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := s.Embed(context.Background(), ds.Columns[i:i+1]); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	st := s.Stats()
-	if st.MaxBatch < 2 {
-		t.Errorf("no coalescing observed: max batch %d over %d batches", st.MaxBatch, st.Batches)
-	}
-	if st.Batches >= 12 {
-		t.Errorf("12 concurrent misses took %d batches, expected coalescing", st.Batches)
-	}
-}
-
 // TestServeConcurrentHammer drives many clients with duplicate-heavy
 // traffic; run under -race this is the race-cleanliness acceptance. Every
 // response must equal the reference regardless of interleaving.
 func TestServeConcurrentHammer(t *testing.T) {
-	s := newTestServer(t, 4, Config{MaxBatch: 8, BatchWindow: 500 * time.Microsecond, CacheSize: 16})
+	s := newTestServer(t, 4, Config{MaxBatch: 8, CacheSize: 16})
 	ds := testCatalog()
 	pool := ds.Columns[:10]
 	ref := fittedEmbedder(t, 2)
