@@ -20,10 +20,12 @@ import (
 // pass. If a change is SUPPOSED to alter numerics, update this constant
 // in the same commit and say so in the commit message.
 //
-// Last intentional change: the E-step density was regrouped into the
-// folded c1 + d²·c2 form (weightedLogPDFs) — same math, different float
-// association.
-const goldenFingerprint = "5dfbe790cfcbf218bd9f83c727b0931f80224a42029ce163db10021c7a78dd90"
+// Last intentional change: every responsibility path (E-step,
+// MeanResponsibilities, Responsibilities) now goes through the gmm
+// posteriors kernel, which takes one exponential per component and scales
+// by 1/s — exp(b−max)/s instead of exp(b−max−log s), so responsibilities
+// move in the last ulps.
+const goldenFingerprint = "a8a49ea89008a17b794c790e89fa85fd13fe3a041ae271148a81afeb1ffe9834"
 
 // goldenCatalog builds a fixed-seed synthetic catalog with distinct
 // column shapes (gaussians, mixtures, uniform, lognormal, constant-ish),

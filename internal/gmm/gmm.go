@@ -84,7 +84,7 @@ type Config struct {
 	Restarts int
 	// Seed makes the run deterministic.
 	Seed int64
-	// Init selects the initialization method. Default InitKMeans.
+	// Init selects the initialization method. Default InitQuantile.
 	Init InitMethod
 	// Pool schedules restart-, chunk- and candidate-level parallelism. A
 	// nil Pool (the default) runs everything on the calling goroutine. The
@@ -128,7 +128,8 @@ type Model struct {
 	Means []float64
 	// Variances are the component variances.
 	Variances []float64
-	// LogLikelihood is the total log-likelihood of the training sample.
+	// LogLikelihood is the training log-likelihood from EM's last E-step; after
+	// a MaxIter stop it scores the parameters before the final M-step, not these.
 	LogLikelihood float64
 	// Iterations is the number of EM iterations of the winning restart.
 	Iterations int
@@ -166,7 +167,8 @@ type FitStats struct {
 	// every restart diverged).
 	Winner int `json:"winner"`
 	// Trajectory is the winning restart's log-likelihood after every EM
-	// iteration — the convergence curve.
+	// iteration — the convergence curve. Like Model.LogLikelihood, its last
+	// entry predates the final M-step when EM stopped at MaxIter.
 	Trajectory []float64 `json:"trajectory,omitempty"`
 	// EStepSeconds and MStepSeconds are wall-clock totals across all
 	// restarts. With a parallel pool restarts overlap, so the sums can
@@ -390,60 +392,37 @@ type emTelemetry struct {
 // emLoop runs EM until convergence (|Δ logL| < tol) or MaxIter.
 //
 // Both halves of each iteration fan out across cfg.Pool with index-slot
-// writes only: the E-step is chunked over values (each chunk fills its own
-// rows of the responsibility matrix and one partial-likelihood slot), and
-// the M-step is parallel over components (component j reads the whole
-// matrix but writes only parameter j, accumulating over values in the same
-// serial order as the classic loop). The chunked reduction is the single
-// code path — pool width 1 and nil pools sum in the identical order — so
-// results are bit-identical for every worker count.
+// writes only: the E-step is chunked over values (each chunk turns its own
+// rows of the responsibility matrix into posteriors in place and fills one
+// partial-likelihood slot), and the M-step is parallel over components
+// (component j reads the whole matrix but writes only parameter j,
+// accumulating over values in the same serial order as the classic loop).
+// The chunked reduction is the single code path — pool width 1 and nil pools
+// sum in the identical order — so results are bit-identical for every worker
+// count.
 func emLoop(xs []float64, m *Model, cfg Config, varFloor float64) (*Model, emTelemetry) {
 	n := len(xs)
 	k := len(m.Weights)
 	resp := make([]float64, n*k) // row-major n×k responsibilities
-	c1 := make([]float64, k)
-	c2 := make([]float64, k)
+	c1, c2 := make([]float64, k), make([]float64, k)
 	nChunks := (n + estepChunk - 1) / estepChunk
 	llPart := make([]float64, nChunks)
-	// One scratch stripe per chunk, allocated once for the whole run:
-	// chunks write disjoint stripes, so reuse across iterations is
-	// race-free and keeps the hot loop allocation-free. Stripes are
-	// padded to whole 64-byte cache lines so adjacent chunks running on
-	// different cores never false-share a boundary line.
-	stride := (k + 7) / 8 * 8
-	scratch := make([]float64, nChunks*stride)
 	prevLL := math.Inf(-1)
 	converged := false
 	iter := 0
 	var tel emTelemetry
 
 	for ; iter < cfg.MaxIter; iter++ {
-		// E-step in log space. The density folds into two per-component
-		// constants (see weightedLogPDFs), hoisted out of the value loop;
-		// the arithmetic stays term-for-term identical to logNormPDF.
+		// E-step in log space (estepRow), constants hoisted out of the loop.
 		//lint:gemallow detnondet E-step timing feeds emTelemetry only, never the model
 		eStart := time.Now()
-		for j := 0; j < k; j++ {
-			c1[j] = math.Log(m.Weights[j]) - 0.5*(log2Pi+math.Log(m.Variances[j]))
-			c2[j] = -0.5 / m.Variances[j]
-		}
+		m.foldConstants(c1, c2)
 		_ = cfg.Pool.For(nChunks, func(c int) error {
 			lo := c * estepChunk
-			hi := lo + estepChunk
-			if hi > n {
-				hi = n
-			}
-			buf := scratch[c*stride : c*stride+k]
+			hi := min(lo+estepChunk, n)
 			var ll float64
 			for i := lo; i < hi; i++ {
-				x := xs[i]
-				row := resp[i*k : i*k+k]
-				weightedLogPDFs(x, m.Means, c1, c2, buf)
-				lse := mathx.LogSumExp(buf)
-				ll += lse
-				for j := 0; j < k; j++ {
-					row[j] = math.Exp(buf[j] - lse)
-				}
+				ll += estepRow(xs[i], m.Means, c1, c2, resp[i*k:i*k+k])
 			}
 			llPart[c] = ll
 			return nil
@@ -558,21 +537,56 @@ func logNormPDF(x, mean, variance float64) float64 {
 }
 
 // logWeightedNormPDF is log(w · N(x | mean, variance)) against precomputed
-// log-weight and log-variance — the single source of the density
-// expression, shared by the EM E-step, MeanResponsibilities and (via
-// logNormPDF) every inference path, so training-time and inference-time
-// responsibilities stay bit-identical by construction. The grouping is the
-// folded form c1 + d²·c2 the hot loops use (see weightedLogPDFs): the two
-// constants depend on the component alone, so the per-value work is one
-// subtract, two multiplies and one add. The compiler inlines the call.
+// log-weight and log-variance — the density of every per-value inference
+// path (Responsibilities, LogPDF and, via logNormPDF, PDF). Its grouping is
+// weightedLogPDFs' folded c1 + d²·c2, so inference agrees bit for bit with
+// the E-step. The compiler inlines the call.
 func logWeightedNormPDF(x, mean, variance, logWeight, logVariance float64) float64 {
 	d := x - mean
 	return logWeight - 0.5*(log2Pi+logVariance) + d*d*(-0.5/variance)
 }
 
+// foldConstants fills the per-component constants of weightedLogPDFs:
+// c1[j] = log w_j − ½(log 2π + log var_j) and c2[j] = −½/var_j.
+func (m *Model) foldConstants(c1, c2 []float64) {
+	for j := range m.Weights {
+		c1[j] = math.Log(m.Weights[j]) - 0.5*(log2Pi+math.Log(m.Variances[j]))
+		c2[j] = -0.5 / m.Variances[j]
+	}
+}
+
+// estepRow is the per-value E-step of EM and MeanResponsibilities: it fills
+// row with the responsibilities of x and returns log p(x).
+func estepRow(x float64, means, c1, c2, row []float64) float64 {
+	weightedLogPDFs(x, means, c1, c2, row)
+	return posteriors(row)
+}
+
+// posteriors turns a row of log-weighted densities b_j into responsibilities
+// in place and returns log Σ exp(b_j), taking the package's only posterior
+// exponential once per component. Its max, sum order and max + log(s) are
+// mathx.LogSumExp's, so the return is bit-identical to it on finite rows.
+func posteriors(row []float64) float64 {
+	maxV := math.Inf(-1)
+	for _, b := range row {
+		if b > maxV {
+			maxV = b
+		}
+	}
+	var s float64
+	for j, b := range row {
+		row[j] = math.Exp(b - maxV)
+		s += row[j]
+	}
+	inv := 1 / s
+	for j := range row {
+		row[j] *= inv
+	}
+	return maxV + math.Log(s)
+}
+
 // weightedLogPDFs fills buf[j] = log(w_j · N(x | mean_j, var_j)) against the
-// folded per-component constants c1[j] = log w_j − ½(log 2π + log var_j) and
-// c2[j] = −½/var_j. This is the E-step and embedding inner loop, unrolled
+// folded constants of foldConstants — the first half of estepRow, unrolled
 // four components wide: each lane is an independent write (no cross-lane
 // accumulation), so the unroll cannot change a single bit — buf[j] is
 // exactly logWeightedNormPDF for every j — while the four FMA-shaped chains
@@ -628,19 +642,12 @@ func (m *Model) ComponentLogPDF(x float64, j int) float64 {
 // the posterior probability that x was generated by each component.
 // The returned slice sums to 1.
 func (m *Model) Responsibilities(x float64) []float64 {
-	k := len(m.Weights)
-	buf := make([]float64, k)
-	// The log weight goes through logWeightedNormPDF rather than being
-	// added outside: the grouping must match the E-step's folded form so
-	// training-time and inference-time responsibilities stay bit-identical.
-	for j := 0; j < k; j++ {
-		buf[j] = logWeightedNormPDF(x, m.Means[j], m.Variances[j], math.Log(m.Weights[j]), math.Log(m.Variances[j]))
+	out := make([]float64, len(m.Weights))
+	// The E-step's grouping and kernel: bit-identical to an E-step row.
+	for j := range out {
+		out[j] = logWeightedNormPDF(x, m.Means[j], m.Variances[j], math.Log(m.Weights[j]), math.Log(m.Variances[j]))
 	}
-	lse := mathx.LogSumExp(buf)
-	out := make([]float64, k)
-	for j := 0; j < k; j++ {
-		out[j] = math.Exp(buf[j] - lse)
-	}
+	posteriors(out)
 	return out
 }
 
@@ -649,29 +656,22 @@ func (m *Model) Responsibilities(x float64) []float64 {
 // part of Gem's signature (Figure 2). The result sums to 1 for a non-empty
 // column.
 //
-// This is the embedding hot path (columns × values × components), so the
-// per-value E-step runs the blocked weightedLogPDFs kernel against the
-// folded per-component constants and a single reused scratch buffer — the
-// arithmetic is term-for-term identical to Responsibilities, without its two
-// heap allocations and k logarithms per value.
+// This is the embedding hot path (columns × values × components), so each
+// value runs EM's estepRow into one reused row and the rows are summed in
+// value order: bit-identical to averaging Responsibilities, without its
+// per-value allocation and k logarithms.
 func (m *Model) MeanResponsibilities(values []float64) ([]float64, error) {
 	if len(values) == 0 {
 		return nil, fmt.Errorf("%w: empty column", ErrInput)
 	}
 	k := len(m.Weights)
-	c1 := make([]float64, k)
-	c2 := make([]float64, k)
-	for j := 0; j < k; j++ {
-		c1[j] = math.Log(m.Weights[j]) - 0.5*(log2Pi+math.Log(m.Variances[j]))
-		c2[j] = -0.5 / m.Variances[j]
-	}
-	out := make([]float64, k)
-	buf := make([]float64, k)
+	c1, c2 := make([]float64, k), make([]float64, k)
+	m.foldConstants(c1, c2)
+	out, row := make([]float64, k), make([]float64, k)
 	for _, x := range values {
-		weightedLogPDFs(x, m.Means, c1, c2, buf)
-		lse := mathx.LogSumExp(buf)
-		for j := 0; j < k; j++ {
-			out[j] += math.Exp(buf[j] - lse)
+		estepRow(x, m.Means, c1, c2, row)
+		for j, r := range row {
+			out[j] += r
 		}
 	}
 	inv := 1 / float64(len(values))
